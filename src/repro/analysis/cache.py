@@ -67,7 +67,6 @@ _FINGERPRINTED_SOURCES = (
     "congest/ledger.py",
     "congest/network.py",
     "congest/vectorized.py",
-    "congest/sharded.py",
     "congest/trace.py",
     "congest/faults.py",
     "congest/transport.py",

@@ -266,11 +266,6 @@ class RunResult:
         ``scheduler="vectorized"`` request that fell back).  Purely
         informational — deliberately excluded from ``run_fingerprint``,
         which hashes what the network *did*, not how it was dispatched.
-    shards:
-        How many separator shards executed the run (1 for the single-
-        process schedulers).  Like ``fast_path``, informational only and
-        excluded from ``run_fingerprint`` — sharding changes how the run
-        was dispatched, never what the network did.
     """
 
     __slots__ = (
@@ -286,7 +281,6 @@ class RunResult:
         "crashed",
         "transport",
         "fast_path",
-        "shards",
     )
 
     def __init__(
@@ -303,7 +297,6 @@ class RunResult:
         corrupted_messages: int = 0,
         transport: Any = None,
         fast_path: bool = False,
-        shards: int = 1,
     ):
         self.rounds = rounds
         self.outputs = outputs
@@ -317,7 +310,6 @@ class RunResult:
         self.crashed = crashed
         self.transport = transport
         self.fast_path = fast_path
-        self.shards = shards
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -385,9 +377,6 @@ class Network:
         faults: Optional["FaultPlan"] = None,
         metrics: Optional["MetricsRegistry"] = None,
         transport: Any = None,
-        shards: int = 1,
-        shard_partition: Optional[List[List[Node]]] = None,
-        shard_mode: str = "auto",
     ) -> RunResult:
         """Execute a node program on every node synchronously.
 
@@ -431,38 +420,9 @@ class Network:
         budget is raised by the session's frame overhead, and the
         session's :class:`~repro.congest.transport.TransportStats` is
         attached as ``RunResult.transport``.
-
-        ``shards=k`` (k > 1) executes the run partitioned by its own
-        recursive cycle-separator decomposition, one worker process per
-        shard, rounds advanced by barrier (:mod:`repro.congest.sharded`).
-        ``run_fingerprint`` is bit-identical to the single-process
-        schedulers.  ``shard_partition`` overrides the automatic
-        partition; ``shard_mode`` picks ``"process"`` / ``"inline"`` /
-        ``"auto"``.  A sharded run always uses the active-set dispatch
-        inside each shard (a ``scheduler="vectorized"`` request with
-        ``shards=k`` shards the message-level engine; the request is
-        still validated here).
         """
         if scheduler not in ("active", "dense", "vectorized"):
             raise ValueError(f"unknown scheduler {scheduler!r}")
-        if shards != 1 or shard_partition is not None:
-            from .sharded import run_sharded
-
-            return run_sharded(
-                self,
-                init,
-                on_round,
-                max_rounds,
-                finalize=finalize,
-                stop_when_quiet=stop_when_quiet,
-                trace=trace,
-                faults=faults,
-                metrics=metrics,
-                transport=transport,
-                shards=shards,
-                partition=shard_partition,
-                shard_mode=shard_mode,
-            )
         if scheduler == "vectorized":
             # Bulk-synchronous fast path: engages only for *regular*
             # programs — a VectorKernel factory attached to the handler,

@@ -19,8 +19,8 @@ with and without them):
 * :mod:`.analyze` — offline analysis of trace JSONL dumps, behind the
   ``repro trace summarize|phases|edges|diff`` CLI.
 * :mod:`.events` — request-scoped tracing for the serve stack: a
-  picklable :class:`TraceContext` carried through pool workers and shard
-  engines, a :class:`RequestTrace` span recorder per served request, an
+  picklable :class:`TraceContext` carried through pool workers, a
+  :class:`RequestTrace` span recorder per served request, an
   :class:`EventLog` ring buffer of structured service events, and the
   causally-ordered ``serve-events`` JSONL behind
   ``repro trace serve timeline|critical-path|slow|summarize``.

@@ -11,7 +11,7 @@ one causally-ordered JSONL file (the ``serve-events`` schema).
 
 Everything here is plain data: :class:`TraceContext` is a frozen,
 picklable dataclass so it can cross the process boundary into pool
-workers and shard engines; request records and events are dicts of JSON
+workers; request records and events are dicts of JSON
 primitives.  Nothing in this module imports from ``repro.serve`` or
 ``repro.congest`` — the dependency points one way, exactly like
 :mod:`repro.obs.tracing`.

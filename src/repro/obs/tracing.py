@@ -137,7 +137,7 @@ class Span:
         context = getattr(self._tracer, "context", None)
         if context is not None:
             # request lineage: every span event names the request that
-            # caused it, so merged sharded dumps keep their ancestry
+            # caused it, so a dump keeps its ancestry
             event["trace"] = context.trace_id
         return event
 
@@ -197,9 +197,7 @@ class Tracer:
 
         ``context`` is duck-typed (anything with a ``trace_id``
         attribute — in practice a :class:`repro.obs.events.TraceContext`;
-        this module deliberately does not import it).  Sharded runs read
-        the bound context off ``trace.tracer`` and propagate it to every
-        shard worker, so merged ``RoundTrace`` spans keep their lineage.
+        this module deliberately does not import it).
         Binding is observational only: it never changes which rounds run
         or how they are attributed.
         """

@@ -220,6 +220,12 @@ def _serialize_worker_trace(tracer, trace_ctx, entry_ts: float, t_entry: float) 
     return {"trace": trace_ctx.trace_id, "entry_ts": entry_ts, "spans": spans}
 
 
+def _invariant_violation(exc: Exception) -> Dict[str, Any]:
+    """The terminal payload for an algorithm invariant that tripped in
+    the worker: a bug, not bad input, so it is an oracle violation."""
+    return {"status": "oracle-violation", "error": f"{type(exc).__name__}: {exc}"}
+
+
 def run_job(
     canonical: Dict[str, Any],
     deadline_ts: Optional[float] = None,
@@ -238,9 +244,12 @@ def run_job(
       the worker picked it up, so it declined to burn CPU on an answer
       nobody is waiting for;
     * ``{"status": "oracle-violation", ...}`` — the pipeline produced an
-      object that failed its own definition check.  Deterministic
-      algorithms should make this unreachable; surfacing it (instead of
-      trusting the result) is the point of running oracles in-worker.
+      object that failed its own definition check, or tripped one of its
+      own invariants (:class:`~repro.core.separator.SeparatorError`,
+      :class:`~repro.core.dfs.DFSError`).  Deterministic algorithms
+      should make this unreachable; surfacing it (instead of trusting
+      the result, or crashing the request) is the point of running
+      oracles in-worker.
 
     When ``trace_ctx`` (a picklable :class:`repro.obs.events.TraceContext`)
     rides along, the worker attaches a :class:`repro.obs.Tracer` under
@@ -250,8 +259,8 @@ def run_job(
     """
     from ..core.certify import certify_cycle
     from ..core.config import PlanarConfiguration
-    from ..core.dfs import dfs_tree
-    from ..core.separator import cycle_separator
+    from ..core.dfs import DFSError, dfs_tree
+    from ..core.separator import SeparatorError, cycle_separator
     from ..core.verify import (
         VerificationError,
         check_dfs_tree,
@@ -320,6 +329,8 @@ def run_job(
             check_dfs_tree(graph, dfs.parent, root)
     except VerificationError as exc:
         return _finish({"status": "oracle-violation", "error": str(exc)})
+    except (SeparatorError, DFSError) as exc:
+        return _finish(_invariant_violation(exc))
     return _finish({
         "status": "ok",
         "job": spec.canonical(),
@@ -355,10 +366,14 @@ def _run_update_job(spec: JobSpec, span, _finish) -> Dict[str, Any]:
     :class:`~repro.dynamic.repair.DynamicPipeline`, which oracle-checks
     the repaired state before handing it back — an
     :class:`~repro.dynamic.repair.UnsoundRepairError` becomes the same
-    ``"oracle-violation"`` terminal the static path uses, and a rejected
-    mutation (planarity break, bridge delete, duplicate edge) is the
-    client's fault: ``"invalid"``.
+    ``"oracle-violation"`` terminal the static path uses, as does a
+    :class:`~repro.core.separator.SeparatorError` or
+    :class:`~repro.core.dfs.DFSError` from the initial solve or a
+    recompute.  A rejected mutation (planarity break, bridge delete,
+    duplicate edge) is the client's fault: ``"invalid"``.
     """
+    from ..core.dfs import DFSError
+    from ..core.separator import SeparatorError
     from ..core.verify import VerificationError, separator_report
     from ..dynamic.mutations import MutationError
     from ..dynamic.repair import DynamicPipeline, UnsoundRepairError
@@ -372,6 +387,8 @@ def _run_update_job(spec: JobSpec, span, _finish) -> Dict[str, Any]:
             pipeline = DynamicPipeline(graph, root=root, charge_rounds=False)
     except (ValueError, KeyError, IndexError, ZeroDivisionError) as exc:
         return _finish({"status": "invalid", "error": f"{type(exc).__name__}: {exc}"})
+    except (SeparatorError, DFSError) as exc:
+        return _finish(_invariant_violation(exc))
     try:
         with span("updates"):
             pipeline.apply(list(spec.updates))
@@ -381,6 +398,8 @@ def _run_update_job(spec: JobSpec, span, _finish) -> Dict[str, Any]:
         return _finish({"status": "oracle-violation", "error": str(exc)})
     except VerificationError as exc:  # pragma: no cover - wrapped above
         return _finish({"status": "oracle-violation", "error": str(exc)})
+    except (SeparatorError, DFSError) as exc:
+        return _finish(_invariant_violation(exc))
     post = pipeline.graph
     report = separator_report(post, list(pipeline.separator_path))
     stats = pipeline.stats

@@ -65,12 +65,6 @@ def test_architecture_mentions_every_package():
     assert not missing, f"ARCHITECTURE.md does not mention: {missing}"
 
 
-def test_architecture_mentions_sharded_engine():
-    text = (REPO / "docs" / "ARCHITECTURE.md").read_text()
-    assert "repro.congest.sharded" in text
-    assert "sharded_grid_dfs.py" in text
-
-
 def test_every_doc_links_to_architecture():
     """The issue's cross-linking contract: every document under
     ``docs/`` (and the top-level README) points at the system map."""
@@ -95,15 +89,12 @@ def test_docs_index_lists_every_doc():
 
 def test_readme_documents_the_cli_surface():
     """The quickstart must exercise the current execution surface: the
-    vectorized scheduler, the sharded path, and all four toolbox
-    subcommands."""
+    vectorized scheduler and the toolbox subcommands."""
     text = (REPO / "README.md").read_text()
     for needle in (
         'scheduler="vectorized"',
-        "shards=",
         "repro trace",
         "repro chaos",
-        "repro shard",
         "repro experiment",
     ):
         assert needle in text, f"README.md quickstart lacks {needle!r}"

@@ -291,11 +291,11 @@ class TestTracingNeutrality:
 
 
 # ---------------------------------------------------------------------------
-# sharded lineage
+# lineage
 # ---------------------------------------------------------------------------
 
 
-class TestShardedLineage:
+class TestLineage:
     def _traced_run(self, context):
         g = gen.grid(6, 6)
         root = sorted(g.nodes)[0]
@@ -305,43 +305,27 @@ class TestShardedLineage:
         if context is not None:
             tracer.bind_context(context)
         with tracer.span("workload"):
-            result = bfs_run(g, root, trace=trace, shards=2,
-                             shard_mode="inline")
+            result = bfs_run(g, root, trace=trace)
         return result, trace, tracer
 
     def test_span_events_carry_the_trace_id(self, tmp_path):
-        ctx = TraceContext("req-shard-1")
+        ctx = TraceContext("req-lineage-1")
         _, trace, tracer = self._traced_run(ctx)
         assert tracer.context is ctx
         open_events = [s.open_event() for s in tracer.spans]
         assert open_events and all(
-            e["trace"] == "req-shard-1" for e in open_events)
+            e["trace"] == "req-lineage-1" for e in open_events)
         dump = tmp_path / "dump.jsonl"
         trace.dump_jsonl(dump)
         stamped = [json.loads(line) for line in dump.read_text().splitlines()
                    if json.loads(line).get("kind") == "span-open"]
-        assert stamped and all(e["trace"] == "req-shard-1" for e in stamped)
+        assert stamped and all(e["trace"] == "req-lineage-1" for e in stamped)
 
     def test_lineage_is_fingerprint_neutral(self):
-        bound, trace_a, _ = self._traced_run(TraceContext("req-shard-2"))
+        bound, trace_a, _ = self._traced_run(TraceContext("req-lineage-2"))
         unbound, trace_b, _ = self._traced_run(None)
         assert run_fingerprint(bound, trace_a) == run_fingerprint(
             unbound, trace_b)
-
-    @pytest.mark.skipif(
-        __import__("repro.congest.sharded", fromlist=["_fork_context"])
-        ._fork_context() is None,
-        reason="fork start method unavailable",
-    )
-    def test_context_crosses_the_fork(self):
-        g = gen.grid(5, 5)
-        root = sorted(g.nodes)[0]
-        trace = RoundTrace()
-        tracer = Tracer()
-        tracer.attach(trace)
-        tracer.bind_context(TraceContext("req-fork"))
-        result = bfs_run(g, root, trace=trace, shards=2, shard_mode="process")
-        assert result.rounds > 0  # start barrier validated lineage equality
 
 
 # ---------------------------------------------------------------------------

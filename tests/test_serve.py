@@ -321,6 +321,88 @@ class TestEngine:
         assert engine.pool.worker_pids() == []
 
 
+class TestInvariantErrors:
+    """A worker-side ``SeparatorError``/``DFSError`` is an algorithm bug,
+    not bad input: it must end on the 503 ``oracle-violation`` terminal
+    instead of escaping ``ServeEngine.submit`` with no response.
+
+    Real reproducer (about 100 s, too slow for this suite):
+    ``run_job(parse_job({"family": "grid", "n": 900, "seed": 0,
+    "root": 465}).canonical())`` trips ``SeparatorError: phase4.2
+    emission is unbalanced`` inside the pipeline.  The tests below inject
+    the same error types through monkeypatched entry points instead.
+    """
+
+    UPDATE_JOB = {"family": "grid", "n": 36, "seed": 1,
+                  "updates": [["delete", 0, 1], ["insert", 0, 1]]}
+
+    @staticmethod
+    def _raiser(exc):
+        def boom(*args, **kwargs):
+            raise exc
+        return boom
+
+    @staticmethod
+    def _inline_pool(monkeypatch, engine):
+        """Run pool jobs in this process so the monkeypatches apply."""
+        import concurrent.futures
+
+        def submit(fn, *args):
+            fut = concurrent.futures.Future()
+            fut.set_result(fn(*args))
+            return fut
+
+        monkeypatch.setattr(engine.pool, "submit", submit)
+
+    def test_static_separator_error_is_oracle_violation(self, monkeypatch):
+        from repro.core import separator
+        from repro.core.separator import SeparatorError
+
+        monkeypatch.setattr(separator, "cycle_separator",
+                            self._raiser(SeparatorError("unbalanced")))
+        result = run_job(parse_job(GRID36).canonical())
+        assert result == {"status": "oracle-violation",
+                          "error": "SeparatorError: unbalanced"}
+
+    def test_update_job_dfs_error_is_oracle_violation(self, monkeypatch):
+        from repro.core.dfs import DFSError
+        from repro.dynamic import repair
+
+        monkeypatch.setattr(repair, "dfs_tree", self._raiser(DFSError("stuck")))
+        result = run_job(parse_job(self.UPDATE_JOB).canonical())
+        assert result == {"status": "oracle-violation",
+                          "error": "DFSError: stuck"}
+
+    def test_update_apply_separator_error_is_oracle_violation(self, monkeypatch):
+        from repro.core.separator import SeparatorError
+        from repro.dynamic import repair
+
+        monkeypatch.setattr(repair.DynamicPipeline, "apply",
+                            self._raiser(SeparatorError("recompute")))
+        result = run_job(parse_job(self.UPDATE_JOB).canonical())
+        assert result == {"status": "oracle-violation",
+                          "error": "SeparatorError: recompute"}
+
+    def test_submit_answers_503_instead_of_raising(self, monkeypatch, engine):
+        from repro.core import separator
+        from repro.core.separator import SeparatorError
+        from repro.dynamic import repair
+
+        self._inline_pool(monkeypatch, engine)
+        boom = self._raiser(SeparatorError("unbalanced"))
+        monkeypatch.setattr(separator, "cycle_separator", boom)
+        monkeypatch.setattr(repair, "cycle_separator", boom)
+
+        async def go():
+            return (await engine.submit(GRID36),
+                    await engine.submit(self.UPDATE_JOB))
+
+        for resp in _run(go()):
+            assert (resp.code, resp.status) == (503, "oracle-violation")
+            assert resp.body["error"] == "SeparatorError: unbalanced"
+        assert engine.cache.get("serve-job", [parse_job(GRID36).key()])[0] is False
+
+
 # -- HTTP front end ----------------------------------------------------------
 
 
