@@ -7,11 +7,17 @@ only when the virtual edge ``ab`` has an actual planar insertion — an
 :math:`\\mathcal{E}`-compatible edge in the paper's terms — whose face
 splits the part into two light sides (Lemma 5's Jordan argument).
 
-This module enumerates all rotation slots for such an insertion, preferring
-the slots Section 3.1.3's augmentation recipe names (adjacent to the parent
-edge at the inner endpoint; adjacent to the fundamental edge at the face
-endpoint; adjacent to the virtual-root gap at the root), and validates every
-attempt with the Euler planarity check plus the face-interior computation.
+This module enumerates the corners of both endpoints for such an insertion,
+each corner once, preferring the slots Section 3.1.3's augmentation recipe
+names (adjacent to the parent edge at the inner endpoint; adjacent to the
+fundamental edge at the face endpoint; adjacent to the virtual-root gap at
+the root).  An insertion keeps the embedding planar exactly when its two
+corners lie on one face, so every slot pair is first checked with a single
+walk of that face (:meth:`~repro.planar.rotation.RotationSystem.corners_share_face`);
+only accepted pairs are copied, inserted and handed to the face-interior
+computation.  The global Euler check
+(:meth:`~repro.planar.rotation.RotationSystem.validate`) is not run here;
+the tests use it as the oracle the face check must agree with.
 
 A calibration finding recorded in DESIGN.md: for *virtual* faces the paper's
 sweep formulas are predictions, not exact counts — which subtrees hang on
@@ -22,9 +28,8 @@ semantic (is the real face balanced / heavy?), never formula-equality.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Set, Tuple
 
-from ..planar.rotation import EmbeddingError
 from .config import PlanarConfiguration
 from .faces import FaceView, face_view
 
@@ -50,20 +55,22 @@ def _candidate_refs(cfg: PlanarConfiguration, x: Node, anchor_edge: Optional[Nod
     augmentation recipe prefers; ``None`` prefers the rotation start/end (the
     parent slot / the root gap).  All remaining slots follow — compatibility
     is decided by the caller's semantic checks, and the compatible route may
-    pass through any face incident to ``x``.
+    pass through any face incident to ``x``.  ``None`` (prepend) and
+    ``t[-1]`` (append) name the same cyclic corner, which is listed once,
+    at its first occurrence: both build the same normalized configuration.
     """
     t = cfg.t(x)
     if not t:
         return [None]
     if anchor_edge is None:
-        preferred: List[Optional[Node]] = [None, t[-1]]
+        listed: List[Optional[Node]] = [None, t[-1]]
     else:
         pos = cfg.t_position(x, anchor_edge)
-        preferred = [anchor_edge, t[pos - 1] if pos > 0 else None]
-    rest: List[Optional[Node]] = [y for y in t if y not in preferred]
-    if None not in preferred:
-        rest.append(None)
-    return preferred + rest
+        listed = [anchor_edge, t[pos - 1] if pos > 0 else None]
+    by_corner: Dict[Node, Optional[Node]] = {}
+    for ref in listed + list(t) + [None]:
+        by_corner.setdefault(t[-1] if ref is None else ref, ref)
+    return list(by_corner.values())
 
 
 def _build_variants(
@@ -75,16 +82,16 @@ def _build_variants(
 ) -> List[PlanarConfiguration]:
     """One slot pair -> every viable extended configuration.
 
-    When the insertion touches the root's rotation start, the virtual-root
-    gap splits; both sub-corner (anchor) designations are produced so the
-    caller can pick the side its checks accept.
+    A pair whose corners lie on different faces has no planar insertion
+    and yields nothing.  When the insertion touches the root's rotation
+    start, the virtual-root gap splits; both sub-corner (anchor)
+    designations are produced so the caller can pick the side its checks
+    accept.
     """
-    rotation = cfg.rotation.copy()
-    try:
-        rotation.insert_edge(a, b, after_u=ref_a, after_v=ref_b)
-        rotation.validate()
-    except EmbeddingError:
+    if not cfg.rotation.corners_share_face(a, ref_a, b, ref_b):
         return []
+    rotation = cfg.rotation.copy()
+    rotation.insert_edge(a, b, after_u=ref_a, after_v=ref_b)
     graph = cfg.graph.copy()
     graph.add_edge(a, b)
     root = cfg.tree.root

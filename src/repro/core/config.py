@@ -24,7 +24,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
-from ..planar.checks import require_planar_connected
+from ..planar.checks import require_connected, require_planar
 from ..planar.construct import embed, embed_subgraph
 from ..planar.rotation import RotationSystem
 from ..trees.rooted import RootedTree
@@ -87,12 +87,18 @@ class PlanarConfiguration:
         tree: Optional[RootedTree] = None,
         rotation: Optional[RotationSystem] = None,
     ) -> "PlanarConfiguration":
-        """Convenience constructor: embed + BFS spanning tree by default."""
-        require_planar_connected(graph)
-        if root is None:
-            root = tree.root if tree is not None else min(graph.nodes, key=repr)
+        """Convenience constructor: embed + BFS spanning tree by default.
+
+        One left-right planarity test covers both the planarity check and
+        the embedding; a supplied ``rotation`` only costs the check.
+        """
+        require_connected(graph)
         if rotation is None:
             rotation = embed(graph)
+        else:
+            require_planar(graph)
+        if root is None:
+            root = tree.root if tree is not None else min(graph.nodes, key=repr)
         if tree is None:
             tree = bfs_tree(graph, root)
         return cls(graph, rotation, tree)

@@ -26,14 +26,19 @@ class NotConnectedError(ValueError):
     """The input graph (or an induced part) is not connected."""
 
 
-def require_planar(graph: nx.Graph) -> None:
-    """Raise :class:`NotPlanarError` unless ``graph`` is planar."""
-    is_planar, _ = nx.check_planarity(graph, counterexample=False)
+def require_planar(graph: nx.Graph) -> nx.PlanarEmbedding:
+    """Raise :class:`NotPlanarError` unless ``graph`` is planar.
+
+    Returns the embedding the left-right planarity test found, so a
+    caller that needs one does not run the test again.
+    """
+    is_planar, embedding = nx.check_planarity(graph, counterexample=False)
     if not is_planar:
         raise NotPlanarError(
             f"graph with {len(graph)} nodes / {graph.number_of_edges()} edges "
             "is not planar"
         )
+    return embedding
 
 
 def require_connected(graph: nx.Graph, what: str = "graph") -> None:

@@ -20,10 +20,12 @@ __all__ = ["embed", "embed_subgraph"]
 def embed(graph: nx.Graph) -> RotationSystem:
     """Compute a rotation system for a planar graph.
 
-    Raises :class:`repro.planar.checks.NotPlanarError` on non-planar input.
+    Runs the left-right planarity test once: the test that decides
+    planarity also yields the embedding.  Raises
+    :class:`repro.planar.checks.NotPlanarError` on non-planar input, so
+    callers need no separate :func:`~repro.planar.checks.require_planar`.
     """
-    require_planar(graph)
-    return RotationSystem.from_graph(graph)
+    return RotationSystem.from_networkx_embedding(require_planar(graph))
 
 
 def embed_subgraph(rotation: RotationSystem, nodes) -> RotationSystem:

@@ -186,6 +186,45 @@ class RotationSystem:
         """Number of faces of the (sphere) embedding."""
         return len(self.faces())
 
+    def corners_share_face(
+        self, u: Node, after_u: Node | None, v: Node, after_v: Node | None
+    ) -> bool:
+        """Whether :meth:`insert_edge` with these positions keeps a planar
+        embedding planar.
+
+        The corner "after ``ref``" at ``x`` (``None``: after the last
+        neighbor, the same cyclic corner as position 0) is the one the
+        face of half-edge ``(ref, x)`` passes through.  Inserting ``uv``
+        at two corners splits one face when both corners lie on it and
+        merges two faces — raising the genus — otherwise.  So a single
+        walk of the face at ``u``'s corner decides it, in time linear in
+        that face's length.  A node with no neighbors has one corner,
+        which lies on whatever face the edge is drawn into.
+
+        The answer assumes ``u`` and ``v`` lie in one connected component
+        of a planar rotation system; :meth:`validate` is the global
+        oracle this method is tested against.
+        """
+        if not self._order[u] or not self._order[v]:
+            return True
+        start = self._corner_half_edge(u, after_u)
+        target = self._corner_half_edge(v, after_v)
+        half_edge = start
+        while True:
+            if half_edge == target:
+                return True
+            half_edge = self.next_face_half_edge(*half_edge)
+            if half_edge == start:
+                return False
+
+    def _corner_half_edge(self, x: Node, after: Node | None) -> HalfEdge:
+        """The half-edge entering ``x`` whose face holds the corner after
+        ``after`` in ``t_x``."""
+        if after is None:
+            return (self._order[x][-1], x)
+        self.position(x, after)  # raises EmbeddingError for a non-neighbor
+        return (after, x)
+
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
@@ -203,15 +242,21 @@ class RotationSystem:
         in ``t_u`` (``None`` prepends, i.e. position 0); symmetrically for
         ``after_v``.  The caller is responsible for choosing positions that
         keep the embedding planar — this is exactly the freedom the paper's
-        :math:`\\mathcal{E}`-compatible insertions exercise (Section 2).
+        :math:`\\mathcal{E}`-compatible insertions exercise (Section 2);
+        :meth:`corners_share_face` tells whether a choice does.  Both
+        positions are resolved before anything changes, and only the two
+        endpoints' position maps are rebuilt.
         """
         if self.has_edge(u, v):
             raise EmbeddingError(f"edge {u!r}-{v!r} already embedded")
         if u == v:
             raise EmbeddingError("self-loops are not supported")
-        self._insert_half_edge(u, v, after_u)
-        self._insert_half_edge(v, u, after_v)
-        self._rebuild_positions()
+        idx_u = self._insert_index(u, after_u)
+        idx_v = self._insert_index(v, after_v)
+        self._order.setdefault(u, []).insert(idx_u, v)
+        self._order.setdefault(v, []).insert(idx_v, u)
+        self._reindex(u)
+        self._reindex(v)
 
     def delete_edge(self, u: Node, v: Node) -> None:
         """Remove edge ``uv`` from the embedding.
@@ -225,7 +270,8 @@ class RotationSystem:
             raise EmbeddingError(f"edge {u!r}-{v!r} is not embedded")
         self._order[u].remove(v)
         self._order[v].remove(u)
-        self._rebuild_positions()
+        self._reindex(u)
+        self._reindex(v)
 
     def add_isolated_node(self, v: Node) -> None:
         """Add a node with no incident edges."""
@@ -234,13 +280,11 @@ class RotationSystem:
         self._order[v] = []
         self._pos[v] = {}
 
-    def _insert_half_edge(self, v: Node, new: Node, after: Node | None) -> None:
-        nbrs = self._order.setdefault(v, [])
-        if after is None:
-            nbrs.insert(0, new)
-        else:
-            idx = self.position(v, after)
-            nbrs.insert(idx + 1, new)
+    def _insert_index(self, v: Node, after: Node | None) -> int:
+        return 0 if after is None else self.position(v, after) + 1
+
+    def _reindex(self, v: Node) -> None:
+        self._pos[v] = {u: i for i, u in enumerate(self._order[v])}
 
     # ------------------------------------------------------------------
     # validation / export

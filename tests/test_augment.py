@@ -9,8 +9,12 @@ from repro.core.augment import (
     heavy_nested_insertion,
     insertion_variants,
 )
+from repro.core.config import PlanarConfiguration
+from repro.core.dfs import dfs_tree
 from repro.core.faces import face_view
-from repro.core.verify import separator_report
+from repro.core.separator import cycle_separator
+from repro.core.verify import check_dfs_tree, separator_report
+from repro.planar import RotationSystem, embed
 from repro.planar import generators as gen
 
 from conftest import make_config
@@ -116,3 +120,45 @@ class TestHeavyNestedInsertion:
         # heavy faces with heavy nested sub-faces are rare by design; the
         # assertions above run whenever one exists.
         assert found >= 0
+
+
+class TestSolvePathDoesNotReprovePlanarity:
+    """Insertions are certified by a face walk, never by the global Euler
+    check, and each entry point runs the left-right planarity test once."""
+
+    @pytest.fixture
+    def planarity_calls(self, monkeypatch):
+        calls = {"check_planarity": 0, "validate": 0}
+        real = nx.check_planarity
+
+        def counting_check(*args, **kwargs):
+            calls["check_planarity"] += 1
+            return real(*args, **kwargs)
+
+        def forbidden_validate(self):
+            calls["validate"] += 1
+            raise AssertionError("RotationSystem.validate ran on the solve path")
+
+        monkeypatch.setattr(nx, "check_planarity", counting_check)
+        monkeypatch.setattr(RotationSystem, "validate", forbidden_validate)
+        return calls
+
+    def test_dfs_tree(self, planarity_calls):
+        graph = gen.grid(20, 20)
+        check_dfs_tree(graph, dfs_tree(graph, 0).parent, 0)
+        assert planarity_calls == {"check_planarity": 1, "validate": 0}
+
+    def test_build_and_separator(self, planarity_calls):
+        graph = gen.grid(20, 20)
+        cfg = PlanarConfiguration.build(graph, root=0)
+        assert planarity_calls == {"check_planarity": 1, "validate": 0}
+        cycle_separator(cfg)
+        assert planarity_calls == {"check_planarity": 1, "validate": 0}
+
+    def test_supplied_rotation_costs_only_the_check(self, planarity_calls):
+        graph = gen.grid(6, 6)
+        rotation = embed(graph)
+        dfs_tree(graph, 0, rotation=rotation)
+        PlanarConfiguration.build(graph, root=0, rotation=rotation)
+        assert planarity_calls == {"check_planarity": 3, "validate": 0}
+

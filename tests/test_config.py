@@ -4,7 +4,8 @@ import networkx as nx
 import pytest
 
 from repro.core.config import ConfigurationError, PlanarConfiguration
-from repro.planar import embed, embed_subgraph
+from repro.core.dfs import dfs_tree
+from repro.planar import NotConnectedError, NotPlanarError, RotationSystem, embed, embed_subgraph
 from repro.planar import generators as gen
 from repro.trees import bfs_tree, dfs_spanning_tree
 
@@ -134,3 +135,57 @@ class TestSubgraphEmbedding:
         rot = embed(g)
         sub = embed_subgraph(rot, range(12))
         sub.validate()
+
+
+def _any_rotation(graph):
+    """A rotation system for ``graph`` that need not be planar."""
+    return RotationSystem({v: sorted(graph.neighbors(v)) for v in graph.nodes})
+
+
+K5 = nx.complete_graph(5)
+K33 = nx.complete_bipartite_graph(3, 3)
+TWO_TRIANGLES = nx.Graph([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+K5_PLUS_ISOLATED = nx.complete_graph(5)
+K5_PLUS_ISOLATED.add_node(9)
+
+
+class TestInputErrors:
+    """Typed rejections, in the order connectivity, planarity, root, with
+    and without a supplied rotation."""
+
+    @pytest.mark.parametrize("graph", [K5, K33], ids=["K5", "K33"])
+    def test_embed_rejects_nonplanar(self, graph):
+        with pytest.raises(NotPlanarError):
+            embed(graph)
+
+    def test_embed_accepts_disconnected_planar(self):
+        assert set(embed(TWO_TRIANGLES).nodes) == set(TWO_TRIANGLES.nodes)
+
+    @pytest.mark.parametrize("supplied", [False, True], ids=["computed", "supplied"])
+    @pytest.mark.parametrize(
+        "graph,error",
+        [
+            (K5, NotPlanarError),
+            (K33, NotPlanarError),
+            (TWO_TRIANGLES, NotConnectedError),
+            (K5_PLUS_ISOLATED, NotConnectedError),
+        ],
+        ids=["K5", "K33", "disconnected", "disconnected-nonplanar"],
+    )
+    def test_entry_points_raise_typed_errors(self, graph, error, supplied):
+        rotation = _any_rotation(graph) if supplied else None
+        with pytest.raises(error):
+            PlanarConfiguration.build(graph, root=0, rotation=rotation)
+        with pytest.raises(error):
+            dfs_tree(graph, 0, rotation=rotation)
+        with pytest.raises(error):
+            dfs_tree(graph, "no-such-root", rotation=rotation)
+
+    @pytest.mark.parametrize("supplied", [False, True], ids=["computed", "supplied"])
+    def test_bad_root_is_a_value_error(self, supplied):
+        graph = gen.grid(3, 3)
+        rotation = embed(graph) if supplied else None
+        with pytest.raises(ValueError) as info:
+            dfs_tree(graph, 99, rotation=rotation)
+        assert type(info.value) is ValueError
+

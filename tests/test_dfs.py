@@ -6,6 +6,7 @@ import networkx as nx
 import pytest
 
 from repro.core.dfs import DFSError, dfs_tree
+from repro.core.separator import SeparatorError
 from repro.core.verify import check_dfs_tree
 from repro.congest import CostModel, RoundLedger
 from repro.planar import generators as gen
@@ -106,6 +107,16 @@ class TestEdgeCasesAndErrors:
     def test_disconnected_rejected(self):
         with pytest.raises(NotConnectedError):
             dfs_tree(nx.Graph([(0, 1), (2, 3)]), 0)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=SeparatorError,
+        reason="known phase-4.2 hole: unbalanced emission and no rooted "
+        "fallback on grid 30x30 from root 465 (ROADMAP open item 5)",
+    )
+    def test_grid_30x30_root_465(self):
+        graph = gen.grid(30, 30)
+        check_dfs_tree(graph, dfs_tree(graph, 465).parent, 465)
 
 
 class TestDFSRuleInvariants:

@@ -29,6 +29,7 @@ from repro.core.config import PlanarConfiguration
 from repro.core.dfs import dfs_tree
 from repro.core.separator import cycle_separator
 from repro.core.verify import check_dfs_tree, check_separator
+from repro.planar import EmbeddingError, embed
 from repro.planar import generators as gen
 from repro.trees import bfs_tree
 
@@ -84,6 +85,69 @@ class TestExhaustiveSmall:
             cfg1 = PlanarConfiguration.build(graph, root=0)
             cfg2 = PlanarConfiguration.build(graph, root=0)
             assert cycle_separator(cfg1).path == cycle_separator(cfg2).path
+
+
+# ---------------------------------------------------------------------------
+# The face-local insertion check against the global Euler oracle.
+#
+# Augmentation accepts a slot pair for a virtual edge ``ab`` when
+# ``corners_share_face`` says both corners lie on one face.  Here that
+# answer is compared, for every corner pair of every non-adjacent node
+# pair, with the global oracle: copy, insert, ``validate()``.
+# ---------------------------------------------------------------------------
+
+CORNER_GRAPHS = [
+    ("path_5", lambda: gen.path_graph(5)),
+    ("star_5", lambda: gen.star_graph(5)),
+    ("random_tree_9", lambda: gen.random_tree(9, seed=3)),
+    ("caterpillar_3", lambda: gen.caterpillar(3)),
+    ("bowtie", lambda: nx.Graph([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])),
+    ("outerplanar_9", lambda: gen.outerplanar(9, chords=3, seed=1)),
+    ("wheel_7", lambda: gen.wheel(7)),
+    ("grid_3x3", lambda: gen.grid(3, 3)),
+    ("tri_grid_3x3", lambda: gen.triangulated_grid(3, 3)),
+]
+
+
+def _corner_mismatches(graph):
+    """Corner pairs where the face check and the Euler oracle disagree,
+    plus how many compared pairs the oracle found planar and non-planar."""
+    rotation = embed(graph)
+    mismatches, outcomes = [], {True: 0, False: 0}
+    for a in graph.nodes:
+        for b in graph.nodes:
+            if a == b or graph.has_edge(a, b):
+                continue
+            for ref_a in (None, *rotation.neighbors_cw(a)):
+                for ref_b in (None, *rotation.neighbors_cw(b)):
+                    attempt = rotation.copy()
+                    attempt.insert_edge(a, b, after_u=ref_a, after_v=ref_b)
+                    try:
+                        attempt.validate()
+                        planar = True
+                    except EmbeddingError:
+                        planar = False
+                    outcomes[planar] += 1
+                    if rotation.corners_share_face(a, ref_a, b, ref_b) != planar:
+                        mismatches.append((a, ref_a, b, ref_b, planar))
+    return mismatches, outcomes
+
+
+class TestCornerFaceCheck:
+    @pytest.mark.parametrize("name,make", CORNER_GRAPHS, ids=[n for n, _ in CORNER_GRAPHS])
+    def test_matches_euler_oracle_on_named_graphs(self, name, make):
+        mismatches, outcomes = _corner_mismatches(make())
+        assert outcomes[True] > 0
+        assert mismatches == []
+
+    def test_matches_euler_oracle_on_every_small_graph(self):
+        totals = {True: 0, False: 0}
+        for graph in ALL_SMALL + SEVEN_SAMPLE:
+            mismatches, outcomes = _corner_mismatches(graph)
+            assert mismatches == [], sorted(graph.edges())
+            for planar, count in outcomes.items():
+                totals[planar] += count
+        assert totals[True] > 1_000 and totals[False] > 1_000
 
 
 # ---------------------------------------------------------------------------

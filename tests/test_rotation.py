@@ -141,6 +141,58 @@ class TestMutation:
             rot.add_isolated_node(9)
 
 
+class TestLocalMutation:
+    def _positions_consistent(self, rot):
+        for v in rot.nodes:
+            for i, u in enumerate(rot.neighbors_cw(v)):
+                assert rot.position(v, u) == i
+
+    def test_positions_follow_insert_and_delete(self):
+        rot = embed(gen.grid(3, 3))
+        rot.insert_edge(0, 4, after_u=rot.neighbors_cw(0)[0], after_v=None)
+        self._positions_consistent(rot)
+        rot.delete_edge(0, 1)
+        self._positions_consistent(rot)
+
+    def test_failed_insert_leaves_rotation_unchanged(self):
+        rot = square_with_diagonal()
+        before = {v: rot.neighbors_cw(v) for v in rot.nodes}
+        with pytest.raises(EmbeddingError):
+            rot.insert_edge(1, 3, after_u=0, after_v=1)  # 1 is not adjacent to 3
+        assert {v: rot.neighbors_cw(v) for v in rot.nodes} == before
+        self._positions_consistent(rot)
+
+    def test_corner_none_is_the_corner_after_the_last_neighbor(self):
+        rot = embed(gen.grid(3, 3))
+        for ref_v in (None, *rot.neighbors_cw(8)):
+            assert rot.corners_share_face(0, None, 8, ref_v) == rot.corners_share_face(
+                0, rot.neighbors_cw(0)[-1], 8, ref_v
+            )
+
+    def test_corners_on_one_face_split_it(self):
+        rot = square_with_diagonal()
+        shared = [
+            (ref_u, ref_v)
+            for ref_u in rot.neighbors_cw(1)
+            for ref_v in rot.neighbors_cw(3)
+            if rot.corners_share_face(1, ref_u, 3, ref_v)
+        ]
+        assert len(shared) == 1  # only the outer face holds both 1 and 3
+        rot.insert_edge(1, 3, after_u=shared[0][0], after_v=shared[0][1])
+        rot.validate()
+        assert rot.num_faces() == 4
+
+    def test_isolated_node_has_one_corner(self):
+        rot = square_with_diagonal()
+        rot.add_isolated_node(9)
+        assert all(rot.corners_share_face(9, None, 1, ref) for ref in rot.neighbors_cw(1))
+
+    def test_non_neighbor_reference_rejected(self):
+        rot = square_with_diagonal()
+        with pytest.raises(EmbeddingError):
+            rot.corners_share_face(1, 3, 3, None)
+
+
 class TestExport:
     def test_networkx_roundtrip_preserves_rotation(self):
         rot = embed(gen.delaunay(25, seed=2))

@@ -326,12 +326,18 @@ class TestInvariantErrors:
     not bad input: it must end on the 503 ``oracle-violation`` terminal
     instead of escaping ``ServeEngine.submit`` with no response.
 
-    Real reproducer (about 100 s, too slow for this suite):
-    ``run_job(parse_job({"family": "grid", "n": 900, "seed": 0,
-    "root": 465}).canonical())`` trips ``SeparatorError: phase4.2
-    emission is unbalanced`` inside the pipeline.  The tests below inject
-    the same error types through monkeypatched entry points instead.
+    The real reproducer, ``grid`` n=900 root 465, trips
+    ``SeparatorError: phase4.2 emission is unbalanced`` inside the
+    pipeline (ROADMAP open item 5) and runs un-patched below; the other
+    tests inject the same error types through monkeypatched entry points,
+    covering the update-mode paths and the engine's 503 answer.
     """
+
+    def test_real_phase42_error_is_oracle_violation(self):
+        job = {"family": "grid", "n": 900, "seed": 0, "root": 465}
+        result = run_job(parse_job(job).canonical())
+        assert result["status"] == "oracle-violation"
+        assert result["error"].startswith("SeparatorError: phase4.2 emission is unbalanced")
 
     UPDATE_JOB = {"family": "grid", "n": 36, "seed": 1,
                   "updates": [["delete", 0, 1], ["insert", 0, 1]]}
